@@ -1,7 +1,7 @@
 """Shared benchmark fixtures.
 
-Benchmarks run with the SGX cost model ENABLED (its busy-wait charges
-are part of what the figures measure).  The active parameter profile is
+Benchmarks run with the SGX cost model ENABLED (its ledger charges are
+the modeled column the figures report beside measured time).  The active parameter profile is
 chosen by ``REPRO_BENCH_SCALE`` (quick | full); see
 ``repro.bench.params`` and EXPERIMENTS.md.
 """

@@ -57,9 +57,7 @@ TRUST_SCOPES: dict[str, frozenset[str]] = {
 }
 
 #: Call names (last dotted segment) that count as verification.
-_VERIFIER_EXACT = frozenset(
-    {"_check_certificate", "_adopt_announcement", "_ensure_verified"}
-)
+_VERIFIER_EXACT = frozenset({"_check_certificate", "_ensure_verified"})
 
 
 def _is_verifier(name: str) -> bool:

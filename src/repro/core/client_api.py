@@ -28,9 +28,7 @@ Construction goes through one factory::
 :func:`connect` builds every client shape uniformly — local
 (``bus=None``), remote single-provider, remote gateway-fronted, and
 subscribing — replacing the constructor sprawl the clients had accreted
-(transport vs gateway mode, retry knobs, cache wiring).  The old
-constructors keep working for one release behind a
-``DeprecationWarning``.
+(transport vs gateway mode, retry knobs, cache wiring).
 """
 
 from __future__ import annotations
@@ -129,11 +127,6 @@ class ClientConfig:
     #: instead of raising.  Off by default: staleness is an explicit
     #: opt-in (see docs/overload.md for the contract).
     degrade_to_stale: bool = False
-    #: A :class:`repro.net.resilience.CircuitBreakerPolicy` arming one
-    #: breaker per issuer/provider endpoint (None = no client-side
-    #: breakers).  Gateway-fronted clients configure breakers on the
-    #: gateway instead.
-    endpoint_breaker: object | None = None
     # -- local mode --
     issuer: object | None = None
     # -- post-construction steps --
@@ -181,7 +174,7 @@ def connect(config: ClientConfig) -> LightClient:
         if config.subscribe:
             local.subscribe(config.issuer)
         return local
-    client = RemoteSuperlightClient(_config=config)
+    client = RemoteSuperlightClient(config)
     if config.bootstrap:
         client.bootstrap()
     if config.subscribe:

@@ -21,7 +21,15 @@ from repro.core.certificate import CERT_SIG_DOMAIN, Certificate
 from repro.core.digest import block_digest, index_digest
 from repro.crypto import PublicKey, verify
 from repro.crypto.hashing import Digest
-from repro.errors import CertificateError
+from repro.errors import (
+    CertificateError,
+    DeadlineExceededError,
+    NetworkError,
+    OverloadedError,
+    ReproError,
+    ResponseIntegrityError,
+    ServiceUnavailableError,
+)
 
 
 class SuperlightClient:
@@ -135,11 +143,44 @@ class SuperlightClient:
         header = getattr(certified, "header", None)
         if header is None:
             header = certified.block.header
-        adopted = self.validate_chain(header, certified.certificate)
-        for name, cert in certified.index_certificates.items():
-            self.validate_index_certificate(
-                name, header, certified.index_roots[name], cert
+        return self.validate_tip(
+            header,
+            certified.certificate,
+            certified.index_roots,
+            certified.index_certificates,
+        )
+
+    def validate_tip(
+        self,
+        header: BlockHeader,
+        cert: Certificate,
+        index_roots: dict[str, Digest],
+        index_certificates: dict[str, Certificate],
+    ) -> bool:
+        """Alg. 3 for a whole certified tip, atomically: the one
+        adoption path for polled, pushed and locally ingested tips.
+
+        Checks every certificate exactly once (index certificates here,
+        the block certificate in :meth:`validate_chain`); any failure
+        raises :class:`CertificateError` before state moves.  Then the
+        header goes through chain selection and each newer index root
+        is adopted.  Returns whether the header was adopted.
+        """
+        for name, index_cert in index_certificates.items():
+            if name not in index_roots:
+                raise CertificateError(f"tip omits the root for index {name!r}")
+            self._check_certificate(
+                index_cert, index_digest(header, index_roots[name])
             )
+        adopted = self.validate_chain(header, cert)
+        for name, index_cert in index_certificates.items():
+            current = self._index_roots.get(name)
+            if current is None or current[0] < header.height:
+                self._index_roots[name] = (header.height, index_roots[name])
+                self._index_certs[name] = index_cert
+                if obs.enabled():
+                    obs.inc("client.index_certs_adopted")
+                    obs.set_gauge("client.storage_bytes", self.storage_bytes())
         return adopted
 
     def validate_index_certificate(
@@ -174,11 +215,6 @@ class SuperlightClient:
             ok = verify_query(request, answer, self.certified_index_root)
         obs.inc("client.verify_ok" if ok else "client.verify_failed")
         return ok
-
-    # The per-type ``verify_history``/``verify_keyword``/``verify_aggregate``
-    # /``verify_value_range`` wrappers that predated the typed query API
-    # were removed in PR 5; ``verify_answer`` is the only verification
-    # entry point.  Accessing the old names raises ``AttributeError``.
 
     # -- persistence ---------------------------------------------------------------
 
@@ -329,64 +365,21 @@ class RemoteSuperlightClient:
       endpoint is exhausted (bounded work, no hanging).
 
     Queries can be served two ways: a plain ``providers`` list (tried
-    in order, as in PR 3) or a :class:`repro.net.gateway.QueryGateway`
-    fronting a replica fleet — pass exactly one of them.  With a
-    gateway the client wires its root re-verification in as the
-    gateway's ``verify_switch`` hook, gets the pipelined
-    :meth:`query_many` path, and keeps a :class:`repro.query
-    .answercache.VerifiedAnswerCache` of answers that already verified
-    at the current certified roots (a warm hit costs zero round trips).
+    in order) or a :class:`repro.net.gateway.QueryGateway` fronting a
+    replica fleet — at most one of them.  With a gateway the client
+    wires its root re-verification in as the gateway's
+    ``verify_switch`` hook, gets the pipelined :meth:`query_many`
+    path, and keeps a :class:`repro.query.answercache
+    .VerifiedAnswerCache` of answers that already verified at the
+    current certified roots (a warm hit costs zero round trips).
     """
 
-    def __init__(
-        self,
-        bus=None,
-        name: str | None = None,
-        expected_measurement: Digest | None = None,
-        ias_public_key: PublicKey | None = None,
-        *,
-        issuers: list[str] | None = None,
-        providers: list[str] | None = None,
-        gateway=None,
-        policy=None,
-        integrity_retries: int = 2,
-        cache_capacity: int = 128,
-        _config=None,
-    ) -> None:
-        from repro.core.client_api import ClientConfig
+    def __init__(self, config) -> None:
+        """Build from a :class:`~repro.core.client_api.ClientConfig`;
+        :func:`~repro.core.client_api.connect` is the way to call it."""
         from repro.net.rpc import RetryPolicy, RpcClient
         from repro.query.answercache import VerifiedAnswerCache
 
-        if _config is None:
-            # Legacy direct construction: one release of grace behind
-            # connect(); it keeps the old "exactly one transport" rule.
-            import warnings
-
-            warnings.warn(
-                "constructing RemoteSuperlightClient directly is "
-                "deprecated; use repro.core.client_api.connect("
-                "ClientConfig(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if (gateway is None) == (not providers):
-                raise CertificateError(
-                    "a remote client needs either a provider list or a "
-                    "query gateway (exactly one)"
-                )
-            _config = ClientConfig(
-                measurement=expected_measurement,
-                ias_public_key=ias_public_key,
-                bus=bus,
-                name=name,
-                issuers=tuple(issuers or ()),
-                providers=tuple(providers or ()),
-                gateway=gateway,
-                policy=policy,
-                integrity_retries=integrity_retries,
-                cache_capacity=cache_capacity,
-            )
-        config = _config
         config.validate()
         self.config = config
         self.client = SuperlightClient(config.measurement, config.ias_public_key)
@@ -394,22 +387,9 @@ class RemoteSuperlightClient:
         self.issuers = list(config.issuers)
         self.providers = list(config.providers)
         self.gateway = config.gateway
-        # -- overload resilience: stale degradation + endpoint breakers --
-        self.degrade_to_stale = getattr(config, "degrade_to_stale", False)
+        # -- overload resilience: stale degradation --
+        self.degrade_to_stale = config.degrade_to_stale
         self.stale_served = 0
-        breaker_policy = getattr(config, "endpoint_breaker", None)
-        if breaker_policy is not None:
-            from repro.net.resilience import CircuitBreaker
-
-            self._breakers = {
-                endpoint: CircuitBreaker(
-                    breaker_policy, seed=f"{config.name}:{endpoint}"
-                )
-                for endpoint in (*self.issuers, *self.providers)
-            }
-        else:
-            # repro: allow[BND01] keyed by the fixed endpoint set above; never grows after __init__
-            self._breakers = {}
         if self.gateway is not None and self.gateway.verify_switch is None:
             self.gateway.verify_switch = self._verify_replica_roots
         self.cache = (
@@ -445,94 +425,65 @@ class RemoteSuperlightClient:
         integrity failure (tampered in flight, or a lying CI) and
         triggers failover, exactly like a timeout.
         """
-        from repro.core.issuer import CertifiedTip
-        from repro.errors import (
-            NetworkError,
-            OverloadedError,
-            ResponseIntegrityError,
-            ServiceUnavailableError,
+        return self._failover(
+            self.issuers,
+            lambda issuer: self.rpc.call(issuer, "latest_tip"),
+            self._adopt_tip,
+            "no issuer returned a verifiable certified tip",
         )
 
+    def _adopt_tip(self, issuer: str, tip):
+        """The polled tip's acceptance check: :meth:`SuperlightClient
+        .validate_tip`, with a refusal counted as an integrity failure."""
+        from repro.core.issuer import CertifiedTip
+
+        try:
+            if not isinstance(tip, CertifiedTip):
+                raise CertificateError(
+                    f"issuer returned {type(tip).__name__}, not a certified tip"
+                )
+            self.client.validate_tip(
+                tip.header, tip.certificate, tip.index_roots, tip.index_certificates
+            )
+        except CertificateError as exc:
+            self.integrity_failures += 1
+            raise ResponseIntegrityError(
+                f"certified tip from {issuer!r} failed verification: {exc}"
+            ) from exc
+        self._roots_advanced()
+        return tip
+
+    def _failover(self, endpoints, call, accept, unavailable: str):
+        """The ordered-failover loop behind :meth:`sync` and provider
+        queries: ``call(endpoint)`` fetches, ``accept(endpoint,
+        response)`` returns the result or raises (having counted it)
+        :class:`~repro.errors.ResponseIntegrityError`.
+
+        Each endpoint, in list order, gets ``integrity_retries``
+        attempts; an overload or network error fails over at once and
+        an expired deadline is re-raised.  Exhausting every endpoint
+        raises :class:`~repro.errors.ServiceUnavailableError`.
+        """
         last_error: Exception | None = None
-        for issuer_name in self.issuers:
-            if not self._endpoint_permits(issuer_name):
-                continue  # breaker open: don't hammer a struggling CI
+        for endpoint in endpoints:
             for _attempt in range(self.integrity_retries):
-                self._endpoint_dispatch(issuer_name)
                 try:
-                    tip = self.rpc.call(issuer_name, "latest_tip")
-                except OverloadedError as exc:
-                    self._endpoint_failure(issuer_name, overload=exc)
-                    last_error = exc
-                    break  # asked to back off: fail over
+                    response = call(endpoint)
+                except DeadlineExceededError:
+                    raise  # the budget is gone everywhere at once
                 except ResponseIntegrityError as exc:
                     self.integrity_failures += 1
                     last_error = exc
                     continue
                 except NetworkError as exc:
-                    self._endpoint_failure(issuer_name)
                     last_error = exc
-                    break  # endpoint down/unreachable: fail over
+                    break  # overloaded, down or unreachable: fail over
                 try:
-                    if not isinstance(tip, CertifiedTip):
-                        raise CertificateError(
-                            f"issuer returned {type(tip).__name__}, "
-                            "not a certified tip"
-                        )
-                    self.client.validate_chain(tip.header, tip.certificate)
-                    for index_name, cert in tip.index_certificates.items():
-                        self.client.validate_index_certificate(
-                            index_name,
-                            tip.header,
-                            tip.index_roots[index_name],
-                            cert,
-                        )
-                except (CertificateError, KeyError) as exc:
-                    self.integrity_failures += 1
-                    last_error = ResponseIntegrityError(
-                        f"certified tip from {issuer_name!r} failed "
-                        f"verification: {exc}"
-                    )
-                    continue
-                self._endpoint_success(issuer_name)
-                self._roots_advanced()
-                return tip
+                    return accept(endpoint, response)
+                except ResponseIntegrityError as exc:
+                    last_error = exc
             self.failovers += 1
-        raise ServiceUnavailableError(
-            "no issuer returned a verifiable certified tip"
-        ) from last_error
-
-    # -- client-side endpoint breakers ---------------------------------------
-
-    def _endpoint_permits(self, endpoint: str) -> bool:
-        breaker = self._breakers.get(endpoint)
-        return breaker is None or breaker.permits(self.rpc.bus.clock_ms)
-
-    def _endpoint_dispatch(self, endpoint: str) -> None:
-        breaker = self._breakers.get(endpoint)
-        if breaker is not None:
-            breaker.on_dispatch(self.rpc.bus.clock_ms)
-
-    def _endpoint_success(self, endpoint: str) -> None:
-        breaker = self._breakers.get(endpoint)
-        if breaker is not None:
-            breaker.record_success()
-
-    def _endpoint_failure(self, endpoint: str, *, overload=None) -> None:
-        breaker = self._breakers.get(endpoint)
-        if breaker is None:
-            return
-        from repro.net.resilience import clamp_retry_after
-
-        breaker.record_failure(
-            self.rpc.bus.clock_ms,
-            overload=overload is not None,
-            retry_after_ms=(
-                clamp_retry_after(overload.retry_after_ms)
-                if overload is not None
-                else 0.0
-            ),
-        )
+        raise ServiceUnavailableError(unavailable) from last_error
 
     def _roots_advanced(self) -> None:
         """Housekeeping after adopting a certified tip: sweep cache
@@ -567,7 +518,6 @@ class RemoteSuperlightClient:
         the stream for :meth:`resync`, which runs on the next
         :meth:`heartbeat` (push handlers never issue blocking RPC).
         """
-        from repro.errors import ServiceUnavailableError
         from repro.net.pubsub import SubscriptionHub, push_topic
 
         hub = source if isinstance(source, str) else self.hub
@@ -603,7 +553,6 @@ class RemoteSuperlightClient:
         arrives (every in-window push lost), the hub retransmits the
         unacked window in response to our acked sequence number.
         """
-        from repro.errors import ServiceUnavailableError
         from repro.net.pubsub import SubscriptionHub
 
         if not self.subscribed:
@@ -650,7 +599,6 @@ class RemoteSuperlightClient:
 
     def _on_push(self, message) -> None:
         """Bus handler for hub pushes — local verification only."""
-        from repro.errors import ReproError
         from repro.net import wire
         from repro.net.messages import LagNotice, PushEnvelope
         from repro.net.pubsub import TipAnnouncement
@@ -707,30 +655,16 @@ class RemoteSuperlightClient:
         )
 
     def _adopt_announcement(self, announcement) -> bool:
-        """Verify one announcement exactly as a polled tip; adopt it if
-        it wins chain selection.  Raises CertificateError on a forgery.
-
-        Verification is atomic: *every* certificate in the announcement
-        is checked before any client state moves, so a forged index
-        certificate cannot leave a half-adopted tip behind (the report
-        cache makes the re-check during adoption nearly free)."""
-        from repro.core.digest import index_digest
-
-        header = announcement.header
-        for index_name, cert in announcement.index_certificates.items():
-            root = announcement.index_roots.get(index_name)
-            if root is None:
-                raise CertificateError(
-                    f"announcement omits the root for index {index_name!r}"
-                )
-            self.client._check_certificate(cert, index_digest(header, root))
-        adopted = self.client.validate_chain(header, announcement.certificate)
-        if not adopted:
+        """Adopt one announcement through :meth:`SuperlightClient
+        .validate_tip` — atomic, so a forgery raises CertificateError
+        with no client state moved — and count it if it wins."""
+        if not self.client.validate_tip(
+            announcement.header,
+            announcement.certificate,
+            announcement.index_roots,
+            announcement.index_certificates,
+        ):
             return False  # replayed/older tip: verified but not adopted
-        for index_name, cert in announcement.index_certificates.items():
-            self.client.validate_index_certificate(
-                index_name, header, announcement.index_roots[index_name], cert
-            )
         self._roots_advanced()
         self.push_adopted += 1
         if obs.enabled():
@@ -764,12 +698,6 @@ class RemoteSuperlightClient:
         :class:`~repro.query.answercache.StaleAnswer` instead of
         raising; correctness is never sacrificed, only freshness.
         """
-        from repro.errors import (
-            DeadlineExceededError,
-            OverloadedError,
-            ServiceUnavailableError,
-        )
-
         cached = self._cache_get(request)
         if cached is not None:
             return cached
@@ -812,9 +740,6 @@ class RemoteSuperlightClient:
         before it is returned or cached; an unverifiable answer raises
         :class:`~repro.errors.ResponseIntegrityError`.
         """
-        from repro.errors import ResponseIntegrityError
-        from repro.query.api import QueryAnswer
-
         if self.gateway is None:
             return [self.query(request) for request in requests]
         requests = list(requests)
@@ -834,122 +759,75 @@ class RemoteSuperlightClient:
             )
             for position, answer in zip(misses, answers):
                 request = requests[position]
-                if not (
-                    isinstance(answer, QueryAnswer)
-                    and self.client.verify_answer(request, answer)
-                ):
-                    self.integrity_failures += 1
-                    raise ResponseIntegrityError(
-                        f"fleet answer to {type(request).__name__} failed "
-                        "verification against the certified index roots"
-                    )
+                self._verified_answer(request, answer, "fleet answer")
                 self._cache_put(request, answer)
                 results[position] = answer
         return results
 
-    def _query_gateway(self, request, deadline_ms: float = 0.0):
-        """One query via the gateway, re-verifying until it checks out."""
-        from repro.errors import ResponseIntegrityError, ServiceUnavailableError
+    def _verified_answer(self, request, answer, source: str):
+        """Return ``answer`` if it verifies against the certified roots;
+        otherwise count an integrity failure and raise
+        :class:`~repro.errors.ResponseIntegrityError`."""
         from repro.query.api import QueryAnswer
 
+        if isinstance(answer, QueryAnswer) and self.client.verify_answer(
+            request, answer
+        ):
+            return answer
+        self.integrity_failures += 1
+        raise ResponseIntegrityError(
+            f"{source} to {type(request).__name__} failed verification "
+            "against the certified index roots"
+        )
+
+    def _query_gateway(self, request, deadline_ms: float = 0.0):
+        """One query via the gateway, re-verifying until it checks out."""
         last_error: Exception | None = None
         for _attempt in range(max(1, self.integrity_retries)):
             answer = self.gateway.call(
                 "execute", request, deadline_ms=deadline_ms
             )
-            if isinstance(answer, QueryAnswer) and self.client.verify_answer(
-                request, answer
-            ):
-                return answer
-            self.integrity_failures += 1
-            last_error = ResponseIntegrityError(
-                f"fleet answer to {type(request).__name__} failed "
-                "verification against the certified index roots"
-            )
+            try:
+                return self._verified_answer(request, answer, "fleet answer")
+            except ResponseIntegrityError as exc:
+                last_error = exc
         raise ServiceUnavailableError(
             f"no replica returned a verifiable answer to "
             f"{type(request).__name__}"
         ) from last_error
 
     def _query_providers(self, request, deadline_ms: float = 0.0):
-        from repro.errors import (
-            DeadlineExceededError,
-            NetworkError,
-            OverloadedError,
-            ResponseIntegrityError,
-            ServiceUnavailableError,
-        )
-        from repro.query.api import QueryAnswer
-
-        last_error: Exception | None = None
-        for provider_name in self.providers:
-            if not self._endpoint_permits(provider_name):
-                continue  # breaker open: spare a struggling provider
-            for _attempt in range(self.integrity_retries):
-                self._endpoint_dispatch(provider_name)
-                try:
-                    answer = self.rpc.call(
-                        provider_name,
-                        "execute",
-                        request,
-                        deadline_ms=deadline_ms,
-                    )
-                except OverloadedError as exc:
-                    self._endpoint_failure(provider_name, overload=exc)
-                    last_error = exc
-                    break  # asked to back off: fail over
-                except DeadlineExceededError:
-                    raise  # the budget is gone everywhere at once
-                except ResponseIntegrityError as exc:
-                    self.integrity_failures += 1
-                    last_error = exc
-                    continue
-                except NetworkError as exc:
-                    self._endpoint_failure(provider_name)
-                    last_error = exc
-                    break  # endpoint down/unreachable: fail over
-                if isinstance(answer, QueryAnswer) and self.client.verify_answer(
-                    request, answer
-                ):
-                    self._endpoint_success(provider_name)
-                    return answer
-                self.integrity_failures += 1
-                last_error = ResponseIntegrityError(
-                    f"answer from {provider_name!r} failed verification "
-                    "against the certified index roots"
-                )
-            self.failovers += 1
-        raise ServiceUnavailableError(
+        return self._failover(
+            self.providers,
+            lambda provider: self.rpc.call(
+                provider, "execute", request, deadline_ms=deadline_ms
+            ),
+            lambda provider, answer: self._verified_answer(
+                request, answer, f"answer from {provider!r}"
+            ),
             f"no provider returned a verifiable answer to "
-            f"{type(request).__name__}"
-        ) from last_error
+            f"{type(request).__name__}",
+        )
 
     # -- the verified-answer cache ------------------------------------------
 
-    def _certified_root_or_none(self, request) -> Digest | None:
-        try:
-            return self.client.certified_index_root(request.index)
-        except (AttributeError, CertificateError):
+    def _certified_entry(self, request) -> tuple[int, Digest] | None:
+        """The (height, root) the request's index is certified at, or
+        None when there is no cache or no certified root to key on."""
+        if self.cache is None:
             return None
+        return self.client._index_roots.get(getattr(request, "index", None))
 
     def _cache_get(self, request):
-        if self.cache is None:
-            return None
-        root = self._certified_root_or_none(request)
-        if root is None:
-            return None
-        return self.cache.get(request, root)
+        entry = self._certified_entry(request)
+        return None if entry is None else self.cache.get(request, entry[1])
 
     def _cache_put(self, request, answer) -> None:
-        if self.cache is None:
-            return
-        root = self._certified_root_or_none(request)
-        if root is None:
-            return
-        entry = self.client._index_roots.get(getattr(request, "index", None))
-        height = entry[0] if entry else -1
-        # repro: allow[VER01] both callers admit only answers that just passed verify_answer()
-        self.cache.put(request, root, answer, height=height)
+        entry = self._certified_entry(request)
+        if entry is not None:
+            height, root = entry
+            # repro: allow[VER01] both callers admit only answers that just passed verify_answer()
+            self.cache.put(request, root, answer, height=height)
 
     # -- replica switch verification ----------------------------------------
 
@@ -959,8 +837,6 @@ class RemoteSuperlightClient:
         client's certified ones.  (Answers are verified individually
         anyway; this catches a stale or lying replica *before* queries
         are routed at it.)"""
-        from repro.errors import ResponseIntegrityError
-
         for name, (_height, certified) in self.client._index_roots.items():
             served = self.gateway.call_on(replica, "index_root", name)
             if served != certified:

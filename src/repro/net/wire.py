@@ -53,13 +53,17 @@ def decode(data: bytes) -> object:
     """Reconstruct the object encoded in ``data``.
 
     Raises :class:`WireError` on malformed JSON, unknown structure, an
-    unregisterable class, or a value the class itself rejects.
+    unregisterable class, a value the class itself rejects, or nesting
+    too deep to parse.
     """
     try:
-        raw = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"undecodable wire bytes: {exc}") from exc
-    return _unpack(raw)
+        try:
+            raw = json.loads(data.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise WireError(f"undecodable wire bytes: {exc}") from exc
+        return _unpack(raw)
+    except RecursionError as exc:
+        raise WireError("wire payload nested too deeply") from exc
 
 
 def _pack(obj: object) -> object:

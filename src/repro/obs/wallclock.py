@@ -4,11 +4,11 @@ Determinism is a code-level contract here (see ``docs/analysis.md``,
 rule DET01): logic must take time from the virtual bus clock
 (``bus.clock_ms``) so that the same seed replays byte-identically,
 and anything that genuinely wants *wall* time — latency measurement
-for metrics, CLI progress lines, the benchmark harness, the cost
-model's busy-wait — must go through this module.  That keeps every
-wall-clock consumer in one audited, greppable place; the static
-analyzer flags ``time.time``/``time.perf_counter``/``datetime.now``
-calls anywhere else.
+for metrics, CLI progress lines, the benchmark harness — must go
+through this module.  That keeps every wall-clock consumer in one
+audited, greppable place; the static analyzer flags
+``time.time``/``time.perf_counter``/``datetime.now`` calls anywhere
+else.
 
 Nothing measured here may influence control flow or any value that
 reaches the simulation event log: wall time feeds *observations*
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["now_s", "now_ms", "elapsed_s", "elapsed_ms", "busy_wait_s"]
+__all__ = ["now_s", "now_ms", "elapsed_s", "elapsed_ms"]
 
 
 def now_s() -> float:
@@ -43,17 +43,3 @@ def elapsed_s(started_s: float) -> float:
 def elapsed_ms(started_s: float) -> float:
     """Milliseconds since a :func:`now_s` reading."""
     return (now_s() - started_s) * 1000.0
-
-
-def busy_wait_s(seconds: float) -> None:
-    """Spin for ``seconds`` of wall time.
-
-    The cost model's instrument for making modeled enclave overheads
-    appear in benchmark wall clocks (:mod:`repro.sgx.costs`); a no-op
-    for non-positive durations.
-    """
-    if seconds <= 0:
-        return
-    deadline = now_s() + seconds
-    while now_s() < deadline:
-        pass

@@ -11,9 +11,9 @@ Numbers are calibrated from the literature the paper cites ([20, 25,
 * usable EPC is 93 MB (§2.2); exceeding it pages at a charge derived
   from SGX paging benchmarks (~40K cycles/page ≈ 3 ms/MB at 3.5 GHz).
 
-Charges are *spent* by default (busy-wait), so wall-clock benchmarks
-show the modeled shapes; they are also *recorded* in a
-:class:`CostLedger` so harnesses can report breakdowns, and the whole
+Charges are modeled, never spent: they are *recorded* in a
+:class:`CostLedger`, and harnesses report them as a modeled column
+beside measured wall time rather than mixing them into it.  The whole
 model can be disabled for unit tests via :func:`cost_model_disabled`.
 """
 
@@ -22,8 +22,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
-
-from repro.obs.wallclock import busy_wait_s
 
 
 @dataclass(slots=True)
@@ -35,7 +33,6 @@ class SGXCostModel:
     enclave_slowdown_extra: float = 0.8  # extra seconds per second of work
     epc_usable_bytes: int = 93 * 1024 * 1024
     paging_s_per_mb: float = 3e-3
-    spend_time: bool = True  # busy-wait the charges into wall clock
 
     def paging_charge(self, peak_bytes: int) -> float:
         """Seconds of paging cost for an ecall peaking at ``peak_bytes``."""
@@ -122,8 +119,3 @@ def cost_model_disabled() -> Iterator[None]:
         yield
     finally:
         _DISABLED_DEPTH -= 1
-
-
-def spend(seconds: float) -> None:
-    """Busy-wait ``seconds`` so modeled cost appears in wall clock."""
-    busy_wait_s(seconds)

@@ -28,7 +28,7 @@ from repro.errors import EnclaveError
 from repro.fault.crashpoints import crashpoint
 from repro.obs.wallclock import elapsed_s, now_s
 from repro.sgx.attestation import AttestationReport, AttestationService, sign_quote
-from repro.sgx.costs import CostLedger, SGXCostModel, model_enabled, spend
+from repro.sgx.costs import CostLedger, SGXCostModel, model_enabled
 from repro.sgx.platform import SGXPlatform
 
 
@@ -146,8 +146,6 @@ class EnclaveHost:
             if model_enabled():
                 self.ledger.transition_s += self.cost_model.ocall_transition_s
                 obs.inc("sgx.transition_s", self.cost_model.ocall_transition_s)
-                if self.cost_model.spend_time:
-                    spend(self.cost_model.ocall_transition_s)
             return target(*args, **kwargs)
 
         program._ocall_dispatch = dispatch
@@ -162,8 +160,8 @@ class EnclaveHost:
             raise EnclaveError(f"undefined ecall {name!r}")
         crashpoint("enclave.ecall.pre")
         handler = getattr(self.program, name)
-        # Bookkeeping always happens; the *charges* (and the busy-wait
-        # that spends them) only apply while the cost model is enabled.
+        # Bookkeeping always happens; the *charges* only apply while
+        # the cost model is enabled.
         charging = model_enabled()
         self.ledger.ecalls += 1
         self.ledger.peak_epc_bytes = max(self.ledger.peak_epc_bytes, payload_bytes)
@@ -194,10 +192,6 @@ class EnclaveHost:
             if charging:
                 slowdown = elapsed * self.cost_model.enclave_slowdown_extra
                 self.ledger.slowdown_s += slowdown
-                if self.cost_model.spend_time:
-                    spend(
-                        self.cost_model.ecall_transition_s + slowdown + paging
-                    )
         # The host 'dies' after the enclave returned but before it acted
         # on the result — the result is lost with the host's memory.
         crashpoint("enclave.ecall.post")

@@ -1,7 +1,7 @@
 """Shared fixtures for the test suite.
 
-The SGX cost model busy-waits to make benchmark wall clocks honest;
-unit tests only care about logic, so it is disabled suite-wide.  The
+The SGX cost model records modeled enclave charges in ledgers; unit
+tests only care about logic, so it is disabled suite-wide.  The
 expensive fixtures (signed transaction pools, certified chains) are
 session-scoped and deterministic.
 """

@@ -266,52 +266,6 @@ def test_connect_rejects_issuer_with_remote_transport(certified_setup):
         ))
 
 
-def test_legacy_constructor_warns(certified_setup):
-    """Direct construction keeps working one release, loudly."""
-    bus = MessageBus()
-    with pytest.warns(DeprecationWarning, match="connect"):
-        legacy = RemoteSuperlightClient(
-            bus, "legacy",
-            certified_setup["issuer"].measurement,
-            certified_setup["ias"].public_key,
-            issuers=["ci"], providers=["sp"],
-        )
-    assert isinstance(legacy, LightClient)
-
-
-def test_legacy_constructor_warning_names_connect(certified_setup):
-    """The deprecation text must tell the caller exactly where to go:
-    the connect(ClientConfig(...)) factory."""
-    with pytest.warns(DeprecationWarning) as records:
-        RemoteSuperlightClient(
-            MessageBus(), "legacy",
-            certified_setup["issuer"].measurement,
-            certified_setup["ias"].public_key,
-            issuers=["ci"], providers=["sp"],
-        )
-    messages = [
-        str(r.message) for r in records
-        if r.category is DeprecationWarning
-    ]
-    assert any(
-        "connect(" in m and "ClientConfig" in m for m in messages
-    ), f"deprecation text does not name connect(): {messages}"
-
-
-def test_legacy_constructor_keeps_old_transport_rule(certified_setup):
-    """The deprecated path still enforces 'exactly one of providers or
-    gateway' — only connect() supports tip-only clients."""
-    from repro.errors import CertificateError
-
-    with pytest.warns(DeprecationWarning), pytest.raises(CertificateError):
-        RemoteSuperlightClient(
-            MessageBus(), "legacy",
-            certified_setup["issuer"].measurement,
-            certified_setup["ias"].public_key,
-            issuers=["ci"],
-        )
-
-
 # -- local push subscription (direct issuer callback) ------------------------
 
 

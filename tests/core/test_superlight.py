@@ -1,9 +1,17 @@
 """The superlight client: Alg. 3, chain selection, constant costs."""
 
+from types import SimpleNamespace
+
 import pytest
 
+import repro.core.superlight as superlight
+from repro.core.client_api import ClientConfig, connect
+from repro.core.issuer import CertifiedTip
 from repro.core.superlight import SuperlightClient, compute_expected_measurement
-from repro.errors import CertificateError
+from repro.errors import CertificateError, ServiceUnavailableError
+from repro.net.bus import MessageBus
+from repro.net.pubsub import SubscriptionHub
+from repro.net.rpc import RpcServer
 from tests.conftest import fresh_vm
 
 
@@ -203,3 +211,143 @@ def test_verified_report_cache_is_bounded(client, certified_setup):
     # The freshly verified identity survived; revalidation stays cached.
     client.validate_chain(certified.block.header, certified.certificate)
     assert len(client._verified_reports) == 2
+
+
+# -- atomic tip adoption, on every delivery path ------------------------------
+
+
+def _tip(certified, index_names=None):
+    """``certified`` as the CertifiedTip a CI serves, optionally with only
+    the named index certificates."""
+    names = certified.index_certificates if index_names is None else index_names
+    return CertifiedTip(
+        header=certified.block.header,
+        certificate=certified.certificate,
+        index_certificates={n: certified.index_certificates[n] for n in names},
+        index_roots={n: certified.index_roots[n] for n in names},
+    )
+
+
+def _remote(certified_setup, tip, **config):
+    """A remote client whose issuer endpoint ``ci`` serves ``tip`` and
+    hosts a hub; returns (client, bus, hub)."""
+    bus = MessageBus()
+    server = RpcServer(bus, "ci")
+    server.register("latest_tip", lambda _argument: tip)
+    hub = SubscriptionHub(server=server)
+    client = connect(ClientConfig(
+        measurement=certified_setup["issuer"].measurement,
+        ias_public_key=certified_setup["ias"].public_key,
+        bus=bus, issuers=("ci",), hub="ci", **config,
+    ))
+    return client, bus, hub
+
+
+def _deliver_polled(certified_setup, tip):
+    remote, _bus, _hub = _remote(certified_setup, tip)
+
+    def deliver():
+        with pytest.raises(ServiceUnavailableError):
+            remote.bootstrap()
+
+    return remote.client, deliver
+
+
+def _deliver_pushed(certified_setup, tip):
+    remote, bus, hub = _remote(certified_setup, tip, subscribe=True)
+
+    def deliver():
+        hub.publish(tip)
+        bus.run_until_idle()
+        assert remote.push_rejected == 1
+
+    return remote.client, deliver
+
+
+def _deliver_local(certified_setup, tip):
+    source = SimpleNamespace(on_certified=[])
+    local = connect(ClientConfig(
+        measurement=certified_setup["issuer"].measurement,
+        ias_public_key=certified_setup["ias"].public_key,
+        issuer=source, subscribe=True,
+    ))
+
+    def deliver():
+        with pytest.raises(CertificateError):
+            for hook in source.on_certified:
+                hook(tip)
+
+    return local, deliver
+
+
+DELIVERY_PATHS = {
+    "polled": _deliver_polled,
+    "pushed": _deliver_pushed,
+    "local": _deliver_local,
+}
+
+
+@pytest.mark.parametrize("path", DELIVERY_PATHS)
+def test_tip_with_a_foreign_index_certificate_is_refused_atomically(
+    certified_setup, path
+):
+    """A genuine block certificate beside an index certificate for a
+    different digest: refused with no header, root or callback moved."""
+    certified = certified_setup["issuer"].certified
+    forged = _tip(certified[-1])
+    forged.index_certificates["history"] = (
+        certified[-2].index_certificates["history"]
+    )
+    client, deliver = DELIVERY_PATHS[path](certified_setup, forged)
+    earlier = _tip(certified[-3])
+    assert client.validate_chain(earlier.header, earlier.certificate)
+    for name, cert in earlier.index_certificates.items():
+        client.validate_index_certificate(
+            name, earlier.header, earlier.index_roots[name], cert
+        )
+    before = client.to_json()
+    fired = []
+    client.on_tip(lambda header, cert: fired.append(header.height))
+
+    deliver()
+
+    assert client.to_json() == before
+    assert client.latest_header == earlier.header
+    assert client.certified_index_root("keyword") == earlier.index_roots["keyword"]
+    assert fired == []
+    assert forged.header.height > earlier.header.height  # it would have won
+
+
+@pytest.fixture()
+def signature_checks(monkeypatch):
+    """Counts certificate signature verifications in the client."""
+    calls = []
+    real = superlight.verify
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(superlight, "verify", counting)
+    return calls
+
+
+def test_one_signature_check_per_certificate_when_pushed(
+    certified_setup, signature_checks
+):
+    tip = _tip(certified_setup["issuer"].certified[-1], ["history"])
+    remote, bus, hub = _remote(certified_setup, tip, subscribe=True)
+    hub.publish(tip)
+    bus.run_until_idle()
+    assert remote.push_adopted == 1
+    assert len(signature_checks) == 2  # block + one index certificate
+
+
+def test_one_signature_check_per_certificate_when_polled(
+    certified_setup, signature_checks
+):
+    tip = _tip(certified_setup["issuer"].certified[-1], ["history"])
+    remote, _bus, _hub = _remote(certified_setup, tip)
+    remote.bootstrap()
+    assert remote.latest_header == tip.header
+    assert len(signature_checks) == 2  # block + one index certificate

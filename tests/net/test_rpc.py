@@ -12,7 +12,8 @@ from repro.errors import (
 )
 from repro.net.bus import MessageBus, NetworkNode
 from repro.net.faults import FaultInjector, LinkFaults
-from repro.net.rpc import RetryPolicy, RpcClient, RpcServer, rpc_topic
+from repro.net.rpc import RetryPolicy, RpcClient, RpcRequest, RpcServer, rpc_topic
+from tests.net.test_wire import DEEPLY_NESTED
 
 
 @pytest.fixture()
@@ -200,6 +201,22 @@ def test_corrupted_request_is_dropped_by_server(bus, echo_server, client):
         client.call("server", "echo", 1)
     assert echo_server.requests_dropped == 3
     assert echo_server.requests_served == 0
+
+
+@pytest.mark.parametrize("payload", DEEPLY_NESTED, ids=["arrays", "tuples"])
+def test_deeply_nested_request_is_dropped_and_bus_keeps_running(
+    bus, echo_server, client, payload
+):
+    """A peer's too-deep payload is a corrupted request: the server
+    drops it instead of letting RecursionError escape the bus."""
+    request = RpcRequest(
+        request_id=999, sender="client", method="echo", payload=payload
+    )
+    bus.send("client", "server", rpc_topic("server"), request)
+    bus.run_until_idle()
+    assert echo_server.requests_dropped == 1
+    assert echo_server.requests_served == 0
+    assert client.call("server", "echo", "still up") == "still up"
 
 
 def test_duplicated_responses_are_ignored(bus, echo_server, client):

@@ -110,6 +110,22 @@ def test_undecodable_bytes_raise_wire_error(data):
         wire.decode(data)
 
 
+#: Nesting far past the interpreter's recursion limit: bare JSON arrays
+#: and tagged tuples.
+DEEPLY_NESTED = [
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"!t":[' * 100_000 + b"1" + b"]}" * 100_000,
+]
+
+
+@pytest.mark.parametrize("data", DEEPLY_NESTED, ids=["arrays", "tuples"])
+def test_deep_nesting_raises_wire_error_not_recursion_error(data):
+    """Regression: the decode-failure contract covers a stack blown by
+    nesting, not only malformed bytes."""
+    with pytest.raises(WireError, match="nested too deeply"):
+        wire.decode(data)
+
+
 def test_tampered_field_values_fail_validation_on_decode():
     """An off-curve public key is rejected by its own __post_init__."""
     keypair = generate_keypair(b"wire-tamper")

@@ -41,7 +41,7 @@ def host():
     return EnclaveHost(
         _Echo(),
         SGXPlatform(seed=b"cost-tests"),
-        cost_model=SGXCostModel(spend_time=False),
+        cost_model=SGXCostModel(),
     )
 
 

@@ -94,7 +94,7 @@ def test_no_charges_when_model_disabled(host):
 
 
 def test_cost_ledger_accounting():
-    model = SGXCostModel(spend_time=False)
+    model = SGXCostModel()
     host = EnclaveHost(
         EchoProgram(), SGXPlatform(seed=b"ledger"), cost_model=model
     )
@@ -116,7 +116,7 @@ def test_cost_ledger_accounting():
 
 
 def test_paging_charge_beyond_epc():
-    model = SGXCostModel(spend_time=False)
+    model = SGXCostModel()
     assert model.paging_charge(model.epc_usable_bytes) == 0
     over = model.paging_charge(model.epc_usable_bytes + 10 * 1024 * 1024)
     assert over == pytest.approx(10 * model.paging_s_per_mb)
@@ -163,7 +163,7 @@ def test_unknown_ocall_name_raises():
 def test_ocall_costs_counted():
     import repro.sgx.costs as costs
 
-    model = SGXCostModel(spend_time=False)
+    model = SGXCostModel()
     host = EnclaveHost(OcallProgram(), SGXPlatform(seed=b"ocall4"), cost_model=model)
     host.register_ocall("lookup", lambda key: key)
     previous = costs._DISABLED_DEPTH
